@@ -669,7 +669,10 @@ def pipeinfer_head(engine, job: GenerationJob) -> Generator:
             yield from ep.wait_for_arrival(cfg.idle_poll)
             continue
 
-        # Partitions exhausted or lookahead cap: wait for the pipeline.
-        yield from ep.wait_for_arrival(cfg.idle_poll)
+        # Partitions exhausted or lookahead cap: the tip is covered, so a
+        # canonical run is in flight and its logits must arrive — and
+        # nothing this branch tests can change before some message does.
+        # Park on the arrival instead of polling on a timer.
+        yield from ep.wait_for_arrival(None)
 
     engine.finish(job, ctx.accepted)

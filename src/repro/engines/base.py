@@ -61,7 +61,11 @@ class EngineConfig:
     #: Figure 8 ablation switches.
     enable_cancellation: bool = True
     enable_continuous: bool = True
-    #: Head-node idle poll interval when drafting is paused.
+    #: Retry interval of the two head waits no event announces: the
+    #: single-job head's retry after the draft cutoff halts speculation
+    #: (time-driven, part of the IV-B2 cutoff decay), and the serving
+    #: head's admission retry while worker cell counts are stale.  Every
+    #: other idle wait parks on message arrivals.
     idle_poll: float = 2e-4
     #: KV cells per worker shard (functional mode sizing).
     n_cells: int = 2048
@@ -193,9 +197,10 @@ class BaseEngine(ABC):
         self.request_reports: List = []
         self._next_run_id = 0
         #: Fault plumbing — populated only by :mod:`repro.faults` runs.
-        #: ``injector`` stays None on fault-free simulations; the serving
-        #: head polls ``_fault_events`` (worker restarts awaiting recovery)
-        #: with a single falsy check per loop iteration.
+        #: ``injector`` stays None on fault-free simulations.  The injector
+        #: appends worker restarts awaiting recovery to ``_fault_events``
+        #: and wakes the head, which drains the list with a single falsy
+        #: check per loop iteration.
         self.injector = None
         self._fault_events: List[Tuple[str, int]] = []
         #: Mid-flight cancellation inbox: request ids whose clients
@@ -514,6 +519,8 @@ def run_engine(
     engine = engine_factory(backend, network, config, metrics)
     procs = engine.spawn(kernel, GenerationJob(tuple(job.prompt), job.n_generate))
     run_to_completion(kernel, procs)
-    return EngineReport.from_collector(
+    report = EngineReport.from_collector(
         engine.name, cluster.size, engine.generated_tokens, metrics
     )
+    report.n_events = kernel.n_events
+    return report

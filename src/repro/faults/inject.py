@@ -162,7 +162,7 @@ class FaultInjector:
         for s in plan.stragglers:
             kernel.call_at(s.start, lambda r=s.rank: self.health.force(r, True))
             if s.end != float("inf"):
-                kernel.call_at(s.end, lambda r=s.rank: self.health.force(r, False))
+                kernel.call_at(s.end, lambda r=s.rank: self._straggler_end(r))
 
     def attach_engine(self, engine, head_rank: Optional[int] = None) -> None:
         """Learn the engine (after spawn) and schedule crash events."""
@@ -215,6 +215,14 @@ class FaultInjector:
     def _restart(self, rank: int) -> None:
         self.engine.respawn_worker(rank)
         self.stats.worker_restarts += 1
-        # The serving head polls this list and runs KV recovery
-        # (cancel in-flight runs, re-prefill verified tokens).
+        # The serving head drains this list on its next step and runs KV
+        # recovery (cancel in-flight runs, re-prefill verified tokens);
+        # wake it, since the runs it is parked on died with the worker.
         self.engine._fault_events.append(("worker_restart", rank))
+        self.engine.ep()._notify_watchers()
+
+    def _straggler_end(self, rank: int) -> None:
+        # Leaving the window may end the degraded state that gates
+        # speculation: wake a parked head to resume drafting now.
+        self.health.force(rank, False)
+        self.engine.ep()._notify_watchers()

@@ -29,6 +29,10 @@ class EngineReport:
     fusion_width: Dict[int, int] = field(default_factory=dict)
     #: Draft-batch-width histogram (chains per head draft pass -> count).
     draft_batch_width: Dict[int, int] = field(default_factory=dict)
+    #: Kernel events executed over the run (resumes, callbacks and
+    #: deliveries): the host-independent work counter an idle poll storm
+    #: shows up in.
+    n_events: int = 0
 
     @classmethod
     def from_collector(
@@ -196,6 +200,8 @@ class ServingReport:
     #: one resume per delivery *event* (well below one per message).
     n_resumes: int = 0
     n_delivered: int = 0
+    #: Kernel events executed over the run (see ``EngineReport.n_events``).
+    n_events: int = 0
     #: Goodput: tokens delivered within their SLO over the makespan.
     #: Equals ``throughput`` when no request carries an SLO tag.
     goodput: float = 0.0

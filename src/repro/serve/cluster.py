@@ -281,6 +281,7 @@ class Replica:
         # ratio toward one resume per delivery event (< 1 message-wise).
         report.n_resumes = self.kernel.n_resumes
         report.n_delivered = self.network.n_delivered
+        report.n_events = self.kernel.n_events
         report.fusion_width = self.metrics.fusion_width_hist()
         report.draft_batch_width = dict(self.metrics.draft_batch_width)
         # Prefix-cache lifecycle counters (empty dict when the cache is off
@@ -652,6 +653,7 @@ class EngineCluster:
         )
         merged.n_resumes = sum(rep.kernel.n_resumes for rep in live)
         merged.n_delivered = sum(rep.network.n_delivered for rep in live)
+        merged.n_events = sum(rep.kernel.n_events for rep in live)
         for rep in live:
             for width, count in rep.metrics.fusion_width_hist().items():
                 merged.fusion_width[width] = (

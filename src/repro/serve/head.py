@@ -421,8 +421,8 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
     # rather than per-iteration.
     done = kernel.future("serving-done")
 
-    def arrival_step(max_wait) -> None:
-        """Re-enter ``step`` on the next delivery, or after ``max_wait``.
+    def arrival_step(until) -> None:
+        """Re-enter ``step`` on the next delivery, or at instant ``until``.
 
         The watcher may resolve mid-delivery-batch, so the re-entry is
         deferred with an at-now event — the loop resumes only after the
@@ -433,13 +433,13 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
         fut.detail = f"wait_for_arrival at rank {ep.rank}"
         fut.set_callback(lambda _v: kernel.call_at(kernel.now, step))
         ep._arrival_watchers.append(fut)
-        if max_wait is not None:
+        if until is not None:
 
             def timeout() -> None:
                 if not fut.resolved:
                     fut.resolve(False)
 
-            kernel.call_after(max_wait, timeout)
+            kernel.call_at(until, timeout)
 
     def after_draft(ready: List[RequestContext], proposed) -> None:
         dispatches = [
@@ -469,21 +469,20 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
     def idle() -> None:
         # ---- priority 4: idle ---------------------------------------------
         if active:
+            # Every active request has work in flight (priority 2
+            # guarantees tip coverage), so a message is certain to arrive:
+            # park for it.  A worker restart and a straggler window's end
+            # wake the head too; the two instants no message announces —
+            # the next request arrival and the health monitor's recovery
+            # (speculation resumes there) — get one timer at the earlier.
+            wake = scheduler.next_arrival()
+            if wake is not None and wake <= kernel.now:
+                wake = None
             if injector is not None:
-                # Health-EWMA decay is observed by polling, so the fault
-                # plane keeps the historical idle cadence.
-                arrival_step(cfg.idle_poll)
-                return
-            nxt = scheduler.next_arrival()
-            if nxt is not None and nxt > kernel.now:
-                # Wake for the next request arrival even if the pipeline
-                # stays quiet until then.
-                arrival_step(nxt - kernel.now)
-            else:
-                # Every active request has work in flight (priority 2
-                # guarantees tip coverage), so a message is certain to
-                # arrive: park for it instead of polling on a timer.
-                arrival_step(None)
+                recover = injector.health.recovery_time(kernel.now)
+                if recover is not None and (wake is None or recover < wake):
+                    wake = recover
+            arrival_step(wake)
             return
         nxt = scheduler.next_arrival()
         if nxt is not None and nxt > kernel.now:
@@ -494,6 +493,11 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
             # endpoint's arrival watchers) instead of burning idle polls.
             arrival_step(None)
         else:
+            # A ready request failed admission with nothing active: under
+            # ``admission_live_cells`` the workers' cell counts are stale
+            # while the last request's release ops are still in flight, and
+            # nothing notifies the head when a worker applies them.  This
+            # is the one timed retry left here.
             kernel.call_after(cfg.idle_poll, step)
 
     def step() -> None:

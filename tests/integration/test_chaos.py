@@ -96,6 +96,15 @@ def test_loss_jitter_crash_transparent_across_seeds(pair, workload, baseline, se
     assert s.reprefilled_tokens > 0, "restart must rebuild KV by re-prefill"
 
 
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_faulty_idle_head_parks_instead_of_polling(pair, workload, seed):
+    """The fault plane's work scales with faults, not with simulated time:
+    24-32 kernel events per generated token here (18 fault-free), against
+    ~37-39k when the idle head polled the health monitor every 0.2 ms."""
+    rep = serve(pair, workload, crash_plan(seed))
+    assert rep.n_events < 100 * sum(rep.token_counts().values())
+
+
 def test_empty_plan_is_byte_identical_to_no_injector(pair, workload, baseline):
     rep = serve(pair, workload, FaultPlan())
     assert rep.outputs() == baseline.outputs()

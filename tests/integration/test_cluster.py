@@ -102,7 +102,7 @@ class TestClusterOfOneIdentity:
             "queue_wait_p50", "queue_wait_p95", "queue_wait_p99",
             "ttft_mean", "ttft_mean_hit", "ttft_mean_miss",
             "prefix_hit_tokens", "prefix_hit_rate",
-            "n_resumes", "n_delivered",
+            "n_resumes", "n_delivered", "n_events",
         ):
             assert getattr(merged, f) == getattr(baseline_report, f), f
 

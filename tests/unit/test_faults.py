@@ -1,5 +1,7 @@
 """Fault plane units: plans, faulty links, health monitor, injector hooks."""
 
+import math
+
 import pytest
 
 from repro.cluster.interconnect import LinkSpec
@@ -210,6 +212,51 @@ def test_health_hysteresis_and_window_count():
     h.record_fault(6.0, rank=1)
     assert h.degraded(6.0)
     assert stats.degraded_windows == 2
+
+
+def test_health_recovery_instant_is_the_decay_crossing():
+    k = SimKernel()
+    h = HealthMonitor(k, RunStats(), tau=0.25, hi=3.0, lo=0.5)
+    assert h.recovery_time(0.0) is None
+    h.record_fault(1.0, rank=2, weight=2.0)
+    h.record_fault(1.5, rank=2, weight=2.0)
+    v = 2.0 * math.exp(-0.5 / 0.25) + 2.0
+    assert v < 3.0 and h.recovery_time(1.5) is None  # not hot yet
+    h.record_fault(1.5, rank=2, weight=1.0)  # crosses hi
+    v += 1.0
+    t = h.recovery_time(1.5)
+    assert t == 1.5 + 0.25 * math.log(v / 0.5)
+    # The exponentially decayed score reaches ``lo`` exactly there.
+    assert math.isclose(v * math.exp(-(t - 1.5) / 0.25), 0.5, rel_tol=1e-12)
+
+
+def test_health_recovers_exactly_at_the_recovery_instant():
+    k = SimKernel()
+    h = HealthMonitor(k, RunStats(), tau=1.0, hi=1.5, lo=0.5)
+    h.record_fault(0.0, rank=1, weight=2.0)
+    t = h.recovery_time(0.0)
+    assert h.degraded(math.nextafter(t, -math.inf))  # one ulp earlier
+    assert not h.degraded(t)
+    assert h.recovery_time(t) is None
+
+
+def test_health_counts_windows_nobody_observes():
+    """Windows open and close while the head is parked (no ``degraded``
+    call in between): each is still counted, where it opens."""
+    k = SimKernel()
+    stats = RunStats()
+    h = HealthMonitor(k, stats, tau=0.1, hi=1.5, lo=0.5)
+    for at in (1.0, 1.0, 5.0, 5.0):  # two fault bursts, far apart
+        k.call_at(at, lambda at=at: h.record_fault(at, rank=3))
+    k.call_at(8.0, lambda: h.force(2, True))  # a straggler window
+    k.call_at(9.0, lambda: h.force(2, False))
+    k.run()
+    assert stats.degraded_windows == 3
+    # A fault inside a live window extends it; it does not open another.
+    h.record_fault(20.0, rank=3, weight=2.0)
+    h.record_fault(20.01, rank=1, weight=2.0)
+    h.force(4, True)
+    assert stats.degraded_windows == 4
 
 
 def test_health_force_is_refcounted():
